@@ -21,6 +21,11 @@ Two measurements:
 * **strategy field** at a mid scale every algorithm can afford (including
   the Python-loop TOUCH and the quadratic-candidate sweep line), all
   agreeing pair-for-pair.
+* **§2.2 synapse join** on ``generate_neurons`` (20k capsule segments,
+  ε = 0.05): the planner's pick against pinned ``grid``, ``pbsm`` and
+  ``tree``, every ``Synapse`` record equal.  At full scale the pick must
+  be within 1.2x of the best pinned strategy (same-run best-of-3 wall
+  ratio) and do no more comparisons than pinned ``grid``.
 
 Usage::
 
@@ -47,11 +52,16 @@ from bench_common import emit
 from repro.analysis.reporting import format_table
 from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
-from repro.joins import JoinSession, PairJoinSpec
+from repro.datasets.neuroscience import generate_neurons
+from repro.joins import JoinSession, PairJoinSpec, SynapseJoinSpec
 
 FULL_N = 100_000
 QUICK_N = 4_000
 FIELD_N = 4_000  # scale the Python-loop TOUCH can afford
+SYNAPSE_MODEL = (250, 80)  # neurons x segments: 20k capsules
+QUICK_SYNAPSE_MODEL = (40, 50)
+SYNAPSE_EPSILON = 0.05
+SYNAPSE_PINNED = ("grid", "pbsm", "tree")
 
 
 def join_workload(n: int, seed: int = 0):
@@ -123,7 +133,45 @@ def run(quick: bool = False) -> dict[str, float]:
     # Sweep-line criticism, in numbers: x-only pruning compares far more.
     assert comparisons["sweepline"] > 3 * comparisons["pbsm"]
 
+    synapse_join_row(quick)
     return speedups
+
+
+def synapse_join_row(quick: bool) -> None:
+    """The §2.2 workload: the planner's pick against pinned strategies."""
+    neurons, segments = QUICK_SYNAPSE_MODEL if quick else SYNAPSE_MODEL
+    spec = SynapseJoinSpec(generate_neurons(neurons, segments, seed=1), epsilon=SYNAPSE_EPSILON)
+    repeats = 1 if quick else 3
+    walls: dict[str, float] = {}
+    comparisons: dict[str, int] = {}
+    reference: list | None = None
+    rows = []
+    for name in (None, *SYNAPSE_PINNED):
+        best = float("inf")
+        for _ in range(repeats):
+            session = JoinSession(strategy=name)
+            start = time.perf_counter()
+            synapses = session.run(spec)
+            best = min(best, time.perf_counter() - start)
+        label = name or "planner -> " + ", ".join(session.stats.strategy_runs)
+        if reference is None:
+            reference = synapses
+        else:
+            assert synapses == reference, f"{label} disagrees on the synapse records"
+        walls[name or "planner"] = best
+        comparisons[name or "planner"] = session.stats.comparisons
+        rows.append([label, best, session.stats.comparisons, len(synapses)])
+    emit(
+        f"Synapse join (section 2.2) — {neurons * segments:,} segments, eps={SYNAPSE_EPSILON}:\n"
+        + format_table(["strategy", "wall s", "comparisons", "synapses"], rows)
+        + "\nROADMAP item 4: the planner's pick within 1.2x of the best pinned strategy"
+    )
+    if quick:
+        return
+    best_pinned = min(walls[name] for name in SYNAPSE_PINNED)
+    ratio = walls["planner"] / best_pinned
+    assert ratio <= 1.2, f"planner pick {ratio:.2f}x the best pinned strategy ({walls})"
+    assert comparisons["planner"] <= comparisons["grid"], comparisons
 
 
 def test_strategies_agree_at_quick_scale():

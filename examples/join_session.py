@@ -41,7 +41,7 @@ def main() -> None:
         for eid, box in clustered_boxes(3_000, UNIVERSE, clusters=6, seed=rng_seed + 1)
     ]
 
-    # -- 1. the planner: tiny specs scan, big specs ride the grid ------------
+    # -- 1. the planner: tiny specs scan, big specs run the vectorized PBSM --
     session = JoinSession()
     tiny = SelfJoinSpec(cells[:20])
     big = SelfJoinSpec(cells)
@@ -58,9 +58,9 @@ def main() -> None:
     print(f"cell-vessel contacts: {len(contacts.result()):,}")
 
     # -- 3. pin a strategy per spec or per session ---------------------------
-    via_pbsm = session.run(SelfJoinSpec(cells), strategy="pbsm")
-    assert via_pbsm == collisions.result()
-    print(f"pbsm agrees with the planner's choice: {len(via_pbsm):,} pairs")
+    via_grid = session.run(SelfJoinSpec(cells), strategy="grid")
+    assert via_grid == collisions.result()
+    print(f"grid agrees with the planner's choice: {len(via_grid):,} pairs")
 
     # -- 4. distance join with vectorized refinement -------------------------
     near = session.run(DistanceJoinSpec(cells, vessels, epsilon=0.5))

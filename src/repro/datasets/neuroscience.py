@@ -19,12 +19,35 @@ and state their scale; the *distribution* is what matters for index shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import Capsule
 from repro.indexes.base import Item
+
+
+class PackedNeurons(NamedTuple):
+    """A neuron model as id-sorted arrays: ``eids`` ``(n,)``, capsule
+    ``starts``/``ends`` ``(n, d)``, ``radii`` ``(n,)`` and owning
+    ``neurons`` ``(n,)`` — what array-native joins and refinement consume."""
+
+    eids: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    radii: np.ndarray
+    neurons: np.ndarray
+
+    def bounds(self) -> np.ndarray:
+        """Capsule boxes as an ``(n, 2, d)`` array, bit-identical to
+        ``Capsule.bounds()`` (same IEEE operations in the same order)."""
+        r = self.radii[:, None]
+        return np.stack(
+            [np.minimum(self.starts, self.ends) - r, np.maximum(self.starts, self.ends) + r],
+            axis=1,
+        )
 
 
 @dataclass
@@ -47,6 +70,29 @@ class NeuronDataset:
 
     def __len__(self) -> int:
         return len(self.capsules)
+
+    def packed(self) -> PackedNeurons:
+        """The model as id-sorted arrays, packed without building any
+        ``AABB`` (one pass over ``capsules`` and ``neuron_of``)."""
+        capsules = list(self.capsules.values())
+        n = len(capsules)
+        dims = capsules[0].dims if capsules else 3
+        eids = np.fromiter(self.capsules, dtype=np.int64, count=n)
+        order = np.argsort(eids, kind="stable")
+
+        def coords(points) -> np.ndarray:
+            flat = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=n * dims)
+            return flat.reshape(n, dims)[order]
+
+        return PackedNeurons(
+            eids=eids[order],
+            starts=coords(c.axis.a for c in capsules),
+            ends=coords(c.axis.b for c in capsules),
+            radii=np.fromiter((c.radius for c in capsules), dtype=np.float64, count=n)[order],
+            neurons=np.fromiter(
+                (self.neuron_of[eid] for eid in self.capsules), dtype=np.int64, count=n
+            )[order],
+        )
 
     def element_extent_stats(self) -> tuple[float, float]:
         """(mean, max) bounding-box extent across elements — feeds the

@@ -42,7 +42,6 @@ from repro.geometry.refine import (
     batch_box_gaps,
     batch_capsule_gaps,
     batch_segment_distances,
-    pack_segments,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "batch_segment_distances",
     "batch_capsule_gaps",
     "batch_box_gaps",
-    "pack_segments",
 ]

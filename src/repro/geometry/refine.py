@@ -15,34 +15,9 @@ round-off — the join oracle suite relies on that.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.geometry.primitives import Capsule
-
 _EPS = 1e-12
-
-
-def pack_segments(capsules: Iterable[Capsule]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack capsules into ``(starts, ends, radii)`` arrays for the kernels."""
-    materialized = capsules if isinstance(capsules, list) else list(capsules)
-    n = len(materialized)
-    if n == 0:
-        return (
-            np.empty((0, 0), dtype=np.float64),
-            np.empty((0, 0), dtype=np.float64),
-            np.empty(0, dtype=np.float64),
-        )
-    dims = materialized[0].dims
-    starts = np.empty((n, dims), dtype=np.float64)
-    ends = np.empty((n, dims), dtype=np.float64)
-    radii = np.empty(n, dtype=np.float64)
-    for row, capsule in enumerate(materialized):
-        starts[row] = capsule.a
-        ends[row] = capsule.b
-        radii[row] = capsule.radius
-    return starts, ends, radii
 
 
 def batch_segment_distances(

@@ -10,9 +10,11 @@ parallel integer row arrays — no Python-level pair loops.  Three families:
 * :func:`pbsm_pairs` — the fully vectorized Partition Based Spatial-Merge:
   tile replication, per-tile cross products, and reference-point dedup are
   all array expressions (one ``repeat``/``cumsum`` expansion instead of a
-  dict-of-buckets), processed in bounded slabs.  :func:`replica_tile_pairs`
-  is its merge phase alone, over pre-gathered replica arrays — the kernel
-  the out-of-core PBSM streams spilled partitions through.
+  dict-of-buckets), processed in bounded slabs.  :func:`pbsm_self_pairs`
+  is its self-join form (each tile's upper triangle only), and
+  :func:`replica_tile_pairs` its merge phase alone, over pre-gathered
+  replica arrays — the kernel the out-of-core PBSM streams spilled
+  partitions through.
 * :func:`tree_pairs` — candidate generation over an STR-packed R-tree with
   the *carried-query-set* traversal of :mod:`repro.indexes.batch_knn`: every
   node is expanded at most once per batch with the subset of probes whose
@@ -22,7 +24,10 @@ parallel integer row arrays — no Python-level pair loops.  Three families:
   traversal's seeded bounds" direction the ROADMAP names.
 
 Shared helpers :func:`pack_items` and :func:`expand_ranges` are the packing
-and window-expansion idioms the strategies compose.
+and window-expansion idioms the strategies compose; :class:`PackedItems` is
+the array-backed item sequence that lets packed inputs (the neuron model,
+ε-expanded distance-join sides) flow through every strategy without
+building an ``AABB`` per element.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import boxes_to_array
+from repro.geometry.aabb import AABB, boxes_to_array
 from repro.indexes.base import Item
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rtree import Node
@@ -47,8 +52,62 @@ _BLOCK_CELLS = 1 << 24
 _SLAB_PAIRS = 1 << 22
 
 
+class PackedItems(Sequence[Item]):
+    """A read-only ``Sequence[Item]`` over packed ``(eids, boxes)`` arrays.
+
+    :func:`pack_items` unwraps it without copying, so array-native
+    strategies never see an ``AABB``; indexing and iteration still yield
+    ``(eid, AABB)`` items, so scalar strategies and user callables consume
+    it like a list.  Full iteration materializes the items once and keeps
+    them (scalar joins re-iterate their inner side per outer element).
+    Slices are packed views.
+    """
+
+    __slots__ = ("eids", "boxes", "_items")
+
+    def __init__(self, eids: np.ndarray, boxes: np.ndarray) -> None:
+        self.eids = eids
+        self.boxes = boxes
+        self._items: list[Item] | None = None
+
+    @classmethod
+    def of(cls, items: Sequence[Item]) -> "PackedItems":
+        """``items`` itself when already packed, else a packed copy."""
+        return items if isinstance(items, cls) else cls(*pack_items(items))
+
+    def expanded(self, pad: float) -> "PackedItems":
+        """Every box grown by ``pad`` per face — the array form of
+        ``AABB.expanded``, with the same IEEE operations per coordinate."""
+        boxes = np.empty_like(self.boxes)
+        np.subtract(self.boxes[:, 0, :], pad, out=boxes[:, 0, :])
+        np.add(self.boxes[:, 1, :], pad, out=boxes[:, 1, :])
+        return PackedItems(self.eids, boxes)
+
+    def __len__(self) -> int:
+        return self.eids.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PackedItems(self.eids[index], self.boxes[index])
+        if self._items is not None:
+            return self._items[index]
+        box = self.boxes[index]
+        return int(self.eids[index]), AABB(box[0].tolist(), box[1].tolist())
+
+    def __iter__(self):
+        if self._items is None:
+            self._items = [
+                (eid, AABB(lo, hi))
+                for eid, (lo, hi) in zip(self.eids.tolist(), self.boxes.tolist())
+            ]
+        return iter(self._items)
+
+
 def pack_items(items: Sequence[Item]) -> tuple[np.ndarray, np.ndarray]:
-    """``(eids, boxes)`` arrays for a list of ``(eid, AABB)`` items."""
+    """``(eids, boxes)`` arrays for a sequence of ``(eid, AABB)`` items
+    (a :class:`PackedItems` unwraps without copying)."""
+    if isinstance(items, PackedItems):
+        return items.eids, items.boxes
     n = len(items)
     eids = np.fromiter((eid for eid, _ in items), dtype=np.int64, count=n)
     boxes = boxes_to_array([box for _, box in items])
@@ -246,6 +305,64 @@ def pbsm_pairs(
         keep = intersecting & (owners == common[lo_g:hi_g][groups])
         out_a.append(ai[keep])
         out_b.append(bi[keep])
+
+    if not out_a:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def pbsm_self_pairs(
+    boxes: np.ndarray,
+    hull_lo: np.ndarray,
+    hull_hi: np.ndarray,
+    tiles_per_axis: int,
+    counters: Counters,
+    slab_pairs: int = _SLAB_PAIRS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """PBSM self-join: every unordered intersecting ``(row, row)`` pair once.
+
+    The self-join form of :func:`pbsm_pairs`: one replica set instead of
+    two, and each tile's *upper triangle* instead of its full |T|²
+    cross product — the replica at sorted position ``p`` pairs only with
+    positions ``p+1 .. tile_end``.  A box replicates into a tile at most
+    once, so no pair is a row with itself, and the reference-point owner
+    test is symmetric, so each pair survives in exactly one tile.  Pairs
+    come back normalized to ``(min_row, max_row)``.  Slabs are cut on replica
+    positions, so even a single crowded tile materializes in bounded slabs.
+    """
+    sides, strides = tile_layout(hull_lo, hull_hi, tiles_per_axis)
+    rows, keys = _tile_replicas(boxes, hull_lo, sides, strides, tiles_per_axis)
+    counters.cells_probed += int(keys.shape[0])
+    order = np.argsort(keys, kind="stable")
+    rows, keys = rows[order], keys[order]
+
+    positions = np.arange(keys.shape[0], dtype=np.int64)
+    tile_ends = np.searchsorted(keys, keys, side="right")
+    cumulative = np.cumsum(tile_ends - positions - 1)
+    total = int(cumulative[-1]) if cumulative.shape[0] else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    counters.comparisons += total
+
+    out_a: list[np.ndarray] = []
+    out_b: list[np.ndarray] = []
+    edges = np.searchsorted(cumulative, np.arange(0, total, slab_pairs), side="left")
+    edges = np.append(edges, positions.shape[0])
+    for lo_p, hi_p in zip(edges[:-1], edges[1:]):
+        first, second = expand_ranges(positions[lo_p:hi_p] + 1, tile_ends[lo_p:hi_p])
+        if first.shape[0] == 0:
+            continue
+        first += lo_p
+        ai, bi = rows[first], rows[second]
+        la, lb = boxes[ai], boxes[bi]
+        overlap_lo = np.maximum(la[:, 0, :], lb[:, 0, :])
+        overlap_hi = np.minimum(la[:, 1, :], lb[:, 1, :])
+        intersecting = np.all(overlap_lo <= overlap_hi, axis=1)
+        owners = _owning_keys(overlap_lo, hull_lo, sides, strides, tiles_per_axis)
+        keep = intersecting & (owners == keys[first])
+        ai, bi = ai[keep], bi[keep]
+        out_a.append(np.minimum(ai, bi))
+        out_b.append(np.maximum(ai, bi))
 
     if not out_a:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)

@@ -12,7 +12,7 @@ this module is the join counterpart, completing the session architecture:
   immediate form;
 * a small **planner** picks the strategy per spec — tiny inputs run the
   scalar nested loop (partitioning set-up would dominate), everything else
-  the vectorized grid join — overridable by pinning a ``strategy`` or
+  the vectorized PBSM join — overridable by pinning a ``strategy`` or
   supplying a ``policy`` callable, with every algorithm in
   :data:`~repro.joins.strategies.JOIN_REGISTRY` interchangeable;
 * **executors** own *where* the filter phase runs:
@@ -42,6 +42,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.obs import propagation_context as _obs_context
 from repro.obs import span as _span
 from repro.exec.external_join import SpillPBSMJoin, spill_page_size
 from repro.exec.spill import SpillManager
-from repro.geometry.refine import batch_box_gaps, batch_capsule_gaps, pack_segments
+from repro.geometry.refine import batch_box_gaps, batch_capsule_gaps
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
 from repro.joins import kernels
@@ -65,7 +66,6 @@ from repro.joins.spec import (
     SelfJoinSpec,
     Synapse,
     SynapseJoinSpec,
-    apposition_point,
 )
 from repro.joins.strategies import (
     JOIN_REGISTRY,
@@ -386,12 +386,10 @@ class ShardedJoinExecutor(JoinExecutor):
         elif mode == "self":
             build = probe_side = probes
         elif mode == "distance_pair":
-            build = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_a]
-            probe_side = [(eid, box.expanded(epsilon / 2.0)) for eid, box in probes]
+            build = kernels.PackedItems.of(items_a).expanded(epsilon / 2.0)
+            probe_side = kernels.PackedItems.of(probes).expanded(epsilon / 2.0)
         else:  # distance_self
-            build = probe_side = [
-                (eid, box.expanded(epsilon / 2.0)) for eid, box in probes
-            ]
+            build = probe_side = kernels.PackedItems.of(probes).expanded(epsilon / 2.0)
         self_mode = mode in ("self", "distance_self")
 
         plan = strategy.plan_tile_runs(build, probe_side, counters)
@@ -597,7 +595,7 @@ class JoinSession:
         self.stats = JoinStats()
         self._pending: list[tuple[JoinSpec, JoinHandle, JoinStrategy | None]] = []
         self._small = make_join_strategy("nested_loop")
-        self._default = make_join_strategy("grid")
+        self._default = make_join_strategy("pbsm")
         # Concurrency: `_lock` guards the pending list; `_flush_lock`
         # serializes whole flushes so a competing flush-on-read never sees
         # drained-but-unresolved handles (same discipline as QuerySession).
@@ -649,13 +647,14 @@ class JoinSession:
             items = spec.items_a
         else:
             n_a = n_b = len(spec.dataset)
-            items = spec.dataset.items
+            capsule = next(iter(spec.dataset.capsules.values()), None)
+            return pbsm_working_set_bytes(n_a, n_b, capsule.dims if capsule else 3)
         dims = items[0][1].dims if items else 3
         return pbsm_working_set_bytes(n_a, n_b, dims)
 
     def choose_strategy(self, spec: JoinSpec) -> JoinStrategy:
-        """The planner: tiny inputs scan, in-memory sets ride the grid, and
-        working sets over the session budget spill.
+        """The planner: tiny inputs scan, in-memory sets run the vectorized
+        PBSM, and working sets over the session budget spill.
 
         A pinned ``strategy`` or a session ``policy`` overrides this
         entirely; any :data:`~repro.joins.strategies.JOIN_REGISTRY` entry is
@@ -841,64 +840,57 @@ class JoinSession:
     def _execute_synapse(
         self, spec: SynapseJoinSpec, strategy: JoinStrategy, executor: JoinExecutor
     ) -> list[Synapse]:
-        dataset = spec.dataset
-        items = dataset.items
+        model = spec.dataset.packed()
+        items = kernels.PackedItems(model.eids, model.bounds())
         candidates = executor.distance_pairs(strategy, items, None, spec.epsilon, self.counters)
         self.stats.candidates += len(candidates)
         if not candidates:
             return []
 
-        eids = np.fromiter(dataset.capsules.keys(), dtype=np.int64, count=len(dataset.capsules))
-        order = np.argsort(eids)
-        eids_sorted = eids[order]
-        capsules_sorted = [dataset.capsules[int(e)] for e in eids_sorted]
-        neurons_sorted = np.fromiter(
-            (dataset.neuron_of[int(e)] for e in eids_sorted), dtype=np.int64, count=eids_sorted.shape[0]
-        )
-        starts, ends, radii = pack_segments(capsules_sorted)
-
-        cand_a = np.fromiter((a for a, _ in candidates), np.int64, len(candidates))
-        cand_b = np.fromiter((b for _, b in candidates), np.int64, len(candidates))
+        cand = np.fromiter(
+            chain.from_iterable(candidates), dtype=np.int64, count=2 * len(candidates)
+        ).reshape(-1, 2)
+        # Rows into the id-sorted model, normalized so row_a < row_b.
+        rows = np.searchsorted(model.eids, cand)
+        rows_a, rows_b = rows.min(axis=1), rows.max(axis=1)
+        order = np.lexsort((rows_b, rows_a))
+        rows_a, rows_b = rows_a[order], rows_b[order]
         # Registry strategies emit each pair exactly once, but a
         # user-supplied CallableJoin carries no such guarantee — and the
         # synapse contract promises duplicate unordered pairs are excluded.
-        cand_pairs = np.unique(np.stack([cand_a, cand_b], axis=1), axis=0)
-        cand_a, cand_b = cand_pairs[:, 0], cand_pairs[:, 1]
-        rows_a = np.searchsorted(eids_sorted, cand_a)
-        rows_b = np.searchsorted(eids_sorted, cand_b)
-
-        # Same-neuron pairs never form synapses — exclude before the (more
-        # expensive) exact-geometry refinement.
-        cross = neurons_sorted[rows_a] != neurons_sorted[rows_b]
-        rows_a, rows_b = rows_a[cross], rows_b[cross]
+        # Same-neuron pairs never form synapses — exclude both before the
+        # (more expensive) exact-geometry refinement.
+        fresh = np.ones(rows_a.shape[0], dtype=bool)
+        fresh[1:] = (rows_a[1:] != rows_a[:-1]) | (rows_b[1:] != rows_b[:-1])
+        neurons = model.neurons
+        keep = fresh & (neurons[rows_a] != neurons[rows_b])
+        rows_a, rows_b = rows_a[keep], rows_b[keep]
         if rows_a.shape[0] == 0:
             return []
+        starts, ends, radii = model.starts, model.ends, model.radii
         gaps = batch_capsule_gaps(
             starts[rows_a], ends[rows_a], radii[rows_a],
             starts[rows_b], ends[rows_b], radii[rows_b],
         )
         self.stats.refined += int(rows_a.shape[0])
         self.counters.refine_tests += int(rows_a.shape[0])
-        keep = np.nonzero(gaps <= spec.epsilon)[0]
-
-        synapses: list[Synapse] = []
-        for i in keep.tolist():
-            ra, rb = int(rows_a[i]), int(rows_b[i])
-            ea, eb = int(eids_sorted[ra]), int(eids_sorted[rb])
-            if ea > eb:
-                ea, eb = eb, ea
-                ra, rb = rb, ra
-            synapses.append(
-                Synapse(
-                    segment_a=ea,
-                    segment_b=eb,
-                    neuron_a=int(neurons_sorted[ra]),
-                    neuron_b=int(neurons_sorted[rb]),
-                    gap=float(gaps[i]),
-                    location=apposition_point(capsules_sorted[ra], capsules_sorted[rb]),
-                )
+        hit = gaps <= spec.epsilon
+        rows_a, rows_b = rows_a[hit], rows_b[hit]
+        # apposition_point, as one array expression with the same operations.
+        location = (
+            (starts[rows_a] + ends[rows_a]) / 2.0 + (starts[rows_b] + ends[rows_b]) / 2.0
+        ) / 2.0
+        synapses = [
+            Synapse(ea, eb, na, nb, gap, tuple(loc))
+            for ea, eb, na, nb, gap, loc in zip(
+                model.eids[rows_a].tolist(),
+                model.eids[rows_b].tolist(),
+                neurons[rows_a].tolist(),
+                neurons[rows_b].tolist(),
+                gaps[hit].tolist(),
+                location.tolist(),
             )
-        synapses.sort(key=lambda s: (s.segment_a, s.segment_b))
+        ]
         self.stats.pairs += len(synapses)
         return synapses
 

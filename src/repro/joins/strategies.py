@@ -91,10 +91,10 @@ class JoinStrategy(ABC):
         (``a < b``).  Strategies with a native distance filter (the tree's
         bounded traversal) override this with something tighter.
         """
-        expanded_a = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_a]
+        expanded_a = kernels.PackedItems.of(items_a).expanded(epsilon / 2.0)
         if items_b is None:
             return self.self_join(expanded_a, counters)
-        expanded_b = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_b]
+        expanded_b = kernels.PackedItems.of(items_b).expanded(epsilon / 2.0)
         return self.join(expanded_a, expanded_b, counters)
 
 
@@ -152,6 +152,7 @@ class NestedLoopJoin(JoinStrategy):
         return pairs
 
     def self_join(self, items, counters):
+        items = list(items)  # one pass: indexing packed items builds an AABB per call
         pairs: Pairs = []
         n = len(items)
         for i in range(n):
@@ -384,7 +385,9 @@ class PBSMJoin(_PBSMBase):
     Partitioning, the per-tile cross products and the reference-point dedup
     all run as array expressions (:func:`repro.joins.kernels.pbsm_pairs`);
     a pair is reported only by the tile containing the lower corner of the
-    two boxes' intersection, so replication never duplicates output.
+    two boxes' intersection, so replication never duplicates output.  Self
+    joins run the triangular :func:`repro.joins.kernels.pbsm_self_pairs`,
+    forming each unordered pair once instead of twice.
     """
 
     name = "pbsm"
@@ -401,6 +404,17 @@ class PBSMJoin(_PBSMBase):
             boxes_a, boxes_b, hull_lo, hull_hi, tiles, counters
         )
         return list(zip(eids_a[ai].tolist(), eids_b[bi].tolist()))
+
+    def self_join(self, items, counters):
+        if len(items) < 2:
+            return []
+        eids, boxes = kernels.pack_items(items)
+        hull_lo = boxes[:, 0, :].min(axis=0)
+        hull_hi = boxes[:, 1, :].max(axis=0)
+        tiles = self._tiles(items, items, boxes.shape[2])
+        ai, bi = kernels.pbsm_self_pairs(boxes, hull_lo, hull_hi, tiles, counters)
+        ea, eb = eids[ai], eids[bi]
+        return list(zip(np.minimum(ea, eb).tolist(), np.maximum(ea, eb).tolist()))
 
 
 @register

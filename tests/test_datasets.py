@@ -106,6 +106,37 @@ class TestNeuronGenerator:
         mean, biggest = ds.element_extent_stats()
         assert 0 < mean <= biggest
 
+    def test_packed_arrays_match_capsules_bit_for_bit(self):
+        from repro.datasets.neuroscience import NeuronDataset
+
+        ds = generate_neurons(neurons=6, segments_per_neuron=20, seed=12)
+        # Shuffled insertion order: the packer must still return id order.
+        shuffled = NeuronDataset(
+            universe=ds.universe,
+            capsules=dict(reversed(list(ds.capsules.items()))),
+            neuron_of=ds.neuron_of,
+        )
+        model = shuffled.packed()
+        ids = sorted(ds.capsules)
+        assert model.eids.tolist() == ids
+        assert model.neurons.tolist() == [ds.neuron_of[eid] for eid in ids]
+        for row, eid in enumerate(ids):
+            capsule = ds.capsules[eid]
+            assert tuple(model.starts[row].tolist()) == capsule.a
+            assert tuple(model.ends[row].tolist()) == capsule.b
+            assert model.radii[row] == capsule.radius
+        boxes = model.bounds()
+        assert [AABB(lo, hi) for lo, hi in boxes.tolist()] == [
+            ds.capsules[eid].bounds() for eid in ids
+        ]
+
+    def test_packed_empty_model(self):
+        from repro.datasets.neuroscience import NeuronDataset
+
+        model = NeuronDataset(universe=UNIVERSE_3D).packed()
+        assert model.eids.shape == (0,)
+        assert model.bounds().shape == (0, 2, 3)
+
     def test_deterministic(self):
         a = generate_neurons(neurons=3, segments_per_neuron=10, seed=11)
         b = generate_neurons(neurons=3, segments_per_neuron=10, seed=11)

@@ -34,6 +34,8 @@ from repro.joins import (
     make_join_strategy,
 )
 from repro.analysis import join_report, session_report
+from repro.joins import kernels
+from repro.joins.spec import apposition_point
 from repro.joins.strategies import NestedLoopJoin
 
 from conftest import UNIVERSE_3D
@@ -150,6 +152,83 @@ class TestStrategyOracle:
             assert counters.comparisons < nested.comparisons / 5, name
 
 
+class TestPBSMSelfKernel:
+    """The triangular self-join kernel behind ``pbsm``'s ``self_join``."""
+
+    @staticmethod
+    def _run(items, counters, slab_pairs=kernels._SLAB_PAIRS):
+        _, boxes = kernels.pack_items(items)
+        tiles = make_join_strategy("pbsm")._tiles(items, items, boxes.shape[2])
+        ai, bi = kernels.pbsm_self_pairs(
+            boxes, boxes[:, 0, :].min(axis=0), boxes[:, 1, :].max(axis=0),
+            tiles, counters, slab_pairs=slab_pairs,
+        )
+        return sorted(zip(ai.tolist(), bi.tolist()))
+
+    def test_self_join_forms_each_pair_once(self):
+        """Counter gate: the upper triangle is under half the cross product
+        the binary kernel forms for the same set against itself."""
+        items, _ = DATASETS["uniform"]
+        pbsm = make_join_strategy("pbsm")
+        self_counters, binary_counters = Counters(), Counters()
+        pbsm.self_join(items, self_counters)
+        pbsm.join(items, items, binary_counters)
+        assert 0 < self_counters.comparisons <= 0.55 * binary_counters.comparisons
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_same_pair_set_as_binary_kernel(self, dataset):
+        items, _ = DATASETS[dataset]
+        pbsm = make_join_strategy("pbsm")
+        binary = sorted((a, b) for a, b in pbsm.join(items, items, Counters()) if a < b)
+        assert sorted(pbsm.self_join(items, Counters())) == binary
+
+    @pytest.mark.parametrize("dataset", ["clustered", "all_overlapping"])
+    @pytest.mark.parametrize("slab_pairs", [1, 7, 50])
+    def test_slab_boundaries_match_single_slab(self, dataset, slab_pairs):
+        items, _ = DATASETS[dataset]
+        single, slabbed = Counters(), Counters()
+        expected = self._run(items, single)
+        assert single.comparisons > 4 * slab_pairs  # several slabs, really
+        assert self._run(items, slabbed, slab_pairs=slab_pairs) == expected
+        assert slabbed.comparisons == single.comparisons
+        assert all(a < b for a, b in expected)
+
+
+class TestPackedItems:
+    """The array-backed item sequence strategies accept in place of lists."""
+
+    def test_sequence_protocol_matches_list(self):
+        items, _ = DATASETS["mixed"]
+        packed = kernels.PackedItems.of(items)
+        assert len(packed) == len(items)
+        assert packed[0] == items[0] and packed[-1] == items[-1]
+        assert list(packed[10:20]) == items[10:20]
+        assert list(packed) == items
+        assert kernels.PackedItems.of(packed) is packed
+        eids, boxes = kernels.pack_items(packed)
+        assert eids is packed.eids and boxes is packed.boxes  # no copy
+
+    def test_expanded_is_bit_identical_to_aabb_expanded(self):
+        items, _ = DATASETS["uniform"]
+        pad = 0.37 / 2.0
+        assert list(kernels.PackedItems.of(items).expanded(pad)) == [
+            (eid, box.expanded(pad)) for eid, box in items
+        ]
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_every_strategy_accepts_packed_items(self, name):
+        items, other = DATASETS["clustered"]
+        strategy = make_join_strategy(name)
+        packed = kernels.PackedItems.of(items)
+        assert sorted(strategy.self_join(packed, Counters())) == sorted(
+            ORACLE.self_join(items, Counters())
+        )
+        if strategy.binary:
+            assert sorted(
+                strategy.join(packed, kernels.PackedItems.of(other), Counters())
+            ) == sorted(ORACLE.join(items, other, Counters()))
+
+
 class TestJoinSession:
     def test_deferred_handles_one_flush(self):
         a, b = DATASETS["uniform"]
@@ -169,7 +248,7 @@ class TestJoinSession:
         large = _uniform(200, 12)
         session = JoinSession()
         assert session.plan(SelfJoinSpec(small)).strategy.name == "nested_loop"
-        assert session.plan(SelfJoinSpec(large)).strategy.name == "grid"
+        assert session.plan(SelfJoinSpec(large)).strategy.name == "pbsm"
 
     def test_pinned_strategy_and_per_spec_override(self):
         items = _uniform(150, 13)
@@ -312,6 +391,52 @@ class TestSynapseSpec:
         synapses = JoinSession(strategy=name).run(SynapseJoinSpec(dataset, epsilon))
         assert {(s.segment_a, s.segment_b) for s in synapses} == expected
 
+    @staticmethod
+    def _records(synapses):
+        return [
+            (s.segment_a, s.segment_b, s.neuron_a, s.neuron_b, s.gap, s.location)
+            for s in synapses
+        ]
+
+    def test_records_pin_every_field(self, dataset, bruteforce):
+        epsilon, expected = bruteforce
+        synapses = JoinSession().run(SynapseJoinSpec(dataset, epsilon))
+        keys = [(s.segment_a, s.segment_b) for s in synapses]
+        assert keys == sorted(expected)
+        for synapse in synapses:
+            a = dataset.capsules[synapse.segment_a]
+            b = dataset.capsules[synapse.segment_b]
+            assert synapse.neuron_a == dataset.neuron_of[synapse.segment_a]
+            assert synapse.neuron_b == dataset.neuron_of[synapse.segment_b]
+            assert synapse.location == apposition_point(a, b)  # exact
+            assert synapse.gap == pytest.approx(a.distance_to(b), abs=1e-12)
+            assert type(synapse.segment_a) is int and type(synapse.gap) is float
+            assert all(type(c) is float for c in synapse.location)
+
+    def test_records_identical_across_every_strategy(self, dataset, bruteforce):
+        epsilon, _ = bruteforce
+        spec = SynapseJoinSpec(dataset, epsilon)
+        expected = self._records(JoinSession().run(spec))
+        for name in ALL_STRATEGIES:
+            assert self._records(JoinSession(strategy=name).run(spec)) == expected, name
+
+    def test_records_identical_inline_and_sharded_spill(self):
+        from repro.serving import WorkerPool
+
+        tissue = generate_neurons(neurons=40, segments_per_neuron=50, seed=15)
+        spec = SynapseJoinSpec(tissue, 0.05)
+        expected = self._records(JoinSession().run(spec))
+        budget = int(JoinSession().estimated_working_set(spec) * 0.25)
+        with JoinSession(budget=budget) as inline:
+            assert self._records(inline.run(spec)) == expected
+            assert inline.stats.strategy_runs == {"pbsm_spill": 1}
+            assert inline.stats.tiles_spilled > 0
+        with WorkerPool(workers=2) as pool, JoinSession(
+            budget=budget, executor=ShardedJoinExecutor(workers=2, pool=pool)
+        ) as sharded:
+            assert self._records(sharded.run(spec)) == expected
+            assert sharded.stats.tile_runs_dispatched > 0
+
     def test_records_are_cross_neuron_and_located(self, dataset):
         for synapse in JoinSession().run(SynapseJoinSpec(dataset, 0.3)):
             assert synapse.neuron_a != synapse.neuron_b
@@ -449,7 +574,7 @@ class TestTelemetry:
         session.run(SelfJoinSpec(items[:20]))
         report = join_report(session)
         assert "joins=2" in report
-        assert "grid" in report and "nested_loop" in report
+        assert "pbsm" in report and "nested_loop" in report
         assert "inline" in report
 
     def test_session_report_dispatches_on_type(self):
