@@ -6,6 +6,14 @@ during refinement.  Boxes are plain immutable value objects built on tuples of
 floats — deliberately *not* numpy arrays, because index inner loops touch
 individual coordinates and small-tuple access is both faster and allocation
 free compared to 0-d array indexing.
+
+Boxes derived from already-validated boxes (``union``, ``union_all``) are
+built through the module-private :func:`_trusted`, which skips the
+per-coordinate ``float`` conversion and the ``lo <= hi`` check: the min/max of
+valid boxes is valid by construction.  It is never reachable from external
+input — ``AABB(...)``, the classmethod constructors and :meth:`AABB.expanded`
+keep their validation.  Every combine kernel is bit-identical to its naive
+formula (``min``/``max`` are exact and volume products fold in axis order).
 """
 
 from __future__ import annotations
@@ -116,9 +124,7 @@ class AABB:
     # -- combination --------------------------------------------------------
 
     def union(self, other: "AABB") -> "AABB":
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(max(a, b) for a, b in zip(self.hi, other.hi))
-        return AABB(lo, hi)
+        return _trusted(tuple(map(min, self.lo, other.lo)), tuple(map(max, self.hi, other.hi)))
 
     def intersection(self, other: "AABB") -> "AABB | None":
         """The overlap box, or ``None`` when the boxes are disjoint."""
@@ -139,8 +145,18 @@ class AABB:
         return vol
 
     def enlargement(self, other: "AABB") -> float:
-        """Volume growth needed to absorb ``other`` — Guttman's insert metric."""
-        return self.union(other).volume() - self.volume()
+        """Volume growth needed to absorb ``other`` — Guttman's insert metric.
+
+        Equal to ``self.union(other).volume() - self.volume()`` bit for bit,
+        without building the union box.
+        """
+        grown = 1.0
+        own = 1.0
+        for a_lo, a_hi, b_lo, b_hi in zip(self.lo, self.hi, other.lo, other.hi):
+            # Same picks as max(a_hi, b_hi) and min(a_lo, b_lo).
+            grown *= (b_hi if b_hi > a_hi else a_hi) - (b_lo if b_lo < a_lo else a_lo)
+            own *= a_hi - a_lo
+        return grown - own
 
     def expanded(self, amount: float) -> "AABB":
         """A copy grown by ``amount`` on every face (shrunk when negative)."""
@@ -205,16 +221,38 @@ class AABB:
         return f"AABB(lo={self.lo}, hi={self.hi})"
 
 
+_new_box = object.__new__
+_set_lo = AABB.lo.__set__  # type: ignore[attr-defined]
+_set_hi = AABB.hi.__set__  # type: ignore[attr-defined]
+
+
+def _trusted(lo: tuple[float, ...], hi: tuple[float, ...]) -> AABB:
+    """An AABB from float tuples already known to satisfy ``lo <= hi``.
+
+    Only for boxes combined from validated boxes; see the module docstring.
+    """
+    box = _new_box(AABB)
+    _set_lo(box, lo)
+    _set_hi(box, hi)
+    return box
+
+
 def union_all(boxes: Iterable[AABB]) -> AABB:
-    """The minimum bounding box of a non-empty collection of boxes."""
-    it = iter(boxes)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("union_all of an empty collection") from None
-    for box in it:
-        acc = acc.union(box)
-    return acc
+    """The minimum bounding box of a non-empty collection of boxes.
+
+    One pass, one allocated box: ``min``/``max`` over many arguments keep the
+    first extreme exactly like the pairwise ``union`` fold.  A single box is
+    returned as is.
+    """
+    boxes = boxes if isinstance(boxes, (list, tuple)) else list(boxes)
+    if not boxes:
+        raise ValueError("union_all of an empty collection")
+    if len(boxes) == 1:
+        return boxes[0]
+    return _trusted(
+        tuple(map(min, *[box.lo for box in boxes])),
+        tuple(map(max, *[box.hi for box in boxes])),
+    )
 
 
 # -- vectorized batch kernels ------------------------------------------------

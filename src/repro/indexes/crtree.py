@@ -315,7 +315,7 @@ class CRTree(SpatialIndex):
         exact = node.exact_entries()
         for i, (entry_box, child) in enumerate(exact):
             self.counters.node_tests += 1
-            if not entry_box.intersects(box):
+            if not entry_box.contains_box(box):
                 continue
             child_node: CRNode = child  # type: ignore[assignment]
             if self._delete_recursive(child_node, eid, box, orphans):

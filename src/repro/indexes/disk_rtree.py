@@ -604,7 +604,7 @@ class DiskRTree(SpatialIndex):
             return False
         for i, (entry_box, child_page) in enumerate(entries):
             self.counters.node_tests += 1
-            if not entry_box.intersects(box):
+            if not entry_box.contains_box(box):
                 continue
             if self._delete_recursive(child_page, level - 1, eid, box, orphans):
                 child_is_leaf, child_entries = self._read(child_page)
@@ -712,7 +712,7 @@ class DiskRTree(SpatialIndex):
             return True
         for i in range(refs.shape[0]):
             self.counters.node_tests += 1
-            if not (np.all(boxes[i, 0] <= box[1]) and np.all(box[0] <= boxes[i, 1])):
+            if not (np.all(boxes[i, 0] <= box[0]) and np.all(box[1] <= boxes[i, 1])):
                 continue
             child_page = int(refs[i])
             if self._delete_recursive_arrays(child_page, level - 1, eid, box, orphans):

@@ -10,7 +10,10 @@ Instrumentation contract (used by the Figure 2/3 benchmarks):
 * testing an *inner* entry's MBR against a query bumps ``node_tests``;
 * testing a *leaf* entry's MBR bumps ``elem_tests``;
 * descending into a child bumps ``pointer_follows``;
-* visiting a node charges its payload size to ``bytes_touched``.
+* visiting a node charges its payload size to ``bytes_touched``;
+* a delete charges ``node_tests`` only for the inner entries tested on its
+  containment descent (it follows an entry only when the entry box
+  ``contains_box`` the target — every parent entry covers its child MBR).
 """
 
 from __future__ import annotations
@@ -530,7 +533,7 @@ class RTree(SpatialIndex):
             return False
         for i, (entry_box, child) in enumerate(node.entries):
             self.counters.node_tests += 1
-            if not entry_box.intersects(box):
+            if not entry_box.contains_box(box):
                 continue
             if self._delete_recursive(child, level - 1, eid, box, orphans):  # type: ignore[arg-type]
                 child_node: Node = child  # type: ignore[assignment]
@@ -632,7 +635,7 @@ def _pick_seeds_quadratic(entries: list[tuple[AABB, object]]) -> tuple[int, int]
         box_i = entries[i][0]
         for j in range(i + 1, len(entries)):
             box_j = entries[j][0]
-            dead = box_i.union(box_j).volume() - box_i.volume() - box_j.volume()
+            dead = box_i.enlargement(box_j) - box_j.volume()
             if dead > worst:
                 worst = dead
                 seeds = (i, j)

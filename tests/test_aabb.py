@@ -121,6 +121,100 @@ class TestCombination:
             union_all([])
 
 
+def _naive_union(a: AABB, b: AABB) -> AABB:
+    return AABB(
+        [min(x, y) for x, y in zip(a.lo, b.lo)], [max(x, y) for x, y in zip(a.hi, b.hi)]
+    )
+
+
+def _naive_volume(lo, hi) -> float:
+    vol = 1.0
+    for x, y in zip(lo, hi):
+        vol *= y - x
+    return vol
+
+
+# Coordinates spanning tiny, unit and large magnitudes, signed, with repeats
+# likely (hypothesis reuses drawn values), so degenerate axes show up often.
+_mixed_coordinate = st.one_of(
+    st.floats(-1e-9, 1e-9, allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -1e5]),
+)
+
+
+@st.composite
+def mixed_boxes(draw, dims: int = 3):
+    """Valid boxes, degenerate on a drawn subset of axes."""
+    lo, hi = [], []
+    for _ in range(dims):
+        a = draw(_mixed_coordinate)
+        b = a if draw(st.booleans()) else draw(_mixed_coordinate)
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    return AABB(lo, hi)
+
+
+class TestCombineKernelsExact:
+    """``union``, ``union_all`` and ``enlargement`` skip validation and
+    intermediate boxes; they must still equal the naive formulas exactly."""
+
+    @given(mixed_boxes(), mixed_boxes())
+    def test_union_bit_identical(self, a, b):
+        union = a.union(b)
+        naive = _naive_union(a, b)
+        assert type(union) is AABB
+        assert union.lo == naive.lo and union.hi == naive.hi
+        assert union == naive and hash(union) == hash(naive)
+        assert all(type(c) is float for c in union.lo + union.hi)
+
+    @given(st.lists(mixed_boxes(), min_size=1, max_size=12))
+    def test_union_all_equals_pairwise_fold(self, boxes_):
+        acc = boxes_[0]
+        for box in boxes_[1:]:
+            acc = _naive_union(acc, box)
+        hull = union_all(boxes_)
+        assert type(hull) is AABB
+        assert hull.lo == acc.lo and hull.hi == acc.hi
+        assert hull == acc and hash(hull) == hash(acc)
+        # Generators and tuples take the same path as lists.
+        assert union_all(iter(boxes_)) == hull
+        assert union_all(tuple(boxes_)) == hull
+
+    @given(mixed_boxes(), mixed_boxes())
+    def test_enlargement_bit_identical(self, a, b):
+        naive = _naive_union(a, b)
+        expected = _naive_volume(naive.lo, naive.hi) - _naive_volume(a.lo, a.hi)
+        assert a.enlargement(b) == expected
+
+    @given(mixed_boxes(dims=2), mixed_boxes(dims=2))
+    def test_enlargement_bit_identical_2d(self, a, b):
+        naive = _naive_union(a, b)
+        expected = _naive_volume(naive.lo, naive.hi) - _naive_volume(a.lo, a.hi)
+        assert a.enlargement(b) == expected
+
+    def test_union_all_single_box_is_that_box(self):
+        box = AABB((0, 1), (2, 3))
+        assert union_all([box]) is box
+
+    def test_signed_zero_picks_match_min_max(self):
+        a = AABB((0.0,), (0.0,))
+        b = AABB((-0.0,), (-0.0,))
+        for x, y in ((a, b), (b, a)):
+            union = x.union(y)
+            naive = _naive_union(x, y)
+            assert math.copysign(1.0, union.lo[0]) == math.copysign(1.0, naive.lo[0])
+            assert math.copysign(1.0, union.hi[0]) == math.copysign(1.0, naive.hi[0])
+            hull = union_all([x, y, x])
+            assert math.copysign(1.0, hull.lo[0]) == math.copysign(1.0, naive.lo[0])
+
+    def test_derived_boxes_stay_immutable(self):
+        union = AABB((0,), (1,)).union(AABB((2,), (3,)))
+        with pytest.raises(AttributeError):
+            union.lo = (5.0,)
+
+
 class TestDistances:
     def test_min_distance_inside(self):
         assert AABB((0, 0), (2, 2)).min_distance_to_point((1, 1)) == 0.0

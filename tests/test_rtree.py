@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.datasets.neuroscience import generate_neurons
+from repro.datasets.trajectories import PlasticityMotion
 from repro.geometry.aabb import AABB
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rstar import RStarTree
 from repro.indexes.rtree import Node, RTree, _linear_split, _quadratic_split
+from repro.moving.tpr import TPRIndex
 
 from conftest import assert_same_knn, assert_same_range_results, make_items, make_queries
 
@@ -158,6 +161,121 @@ class TestMaintenance:
         for eid, box in items:
             tree.insert(eid, box)
         assert tree.node_count >= len(items) // 8
+
+
+def _assert_tight(node: Node) -> None:
+    """Every inner entry box equals its child's MBR exactly (dynamic
+    ``RTree``/``RStarTree`` maintenance rewrites each box on the path it
+    touches; ``check_invariants`` asks only for cover, because
+    ``BottomUpRTree`` leaves ancestors loose by design)."""
+    if node.is_leaf:
+        return
+    for entry_box, child in node.entries:
+        assert entry_box == child.mbr()
+        _assert_tight(child)
+
+
+def _containment_tests(node: Node, eid: int, box: AABB) -> tuple[int, bool]:
+    """``(node_tests, found)`` for a delete that descends only into entries
+    whose box contains ``box`` and stops at the first match."""
+    if node.is_leaf:
+        return 0, any(ref == eid and entry_box == box for entry_box, ref in node.entries)
+    tests = 0
+    for entry_box, child in node.entries:
+        tests += 1
+        if entry_box.contains_box(box):
+            sub, found = _containment_tests(child, eid, box)
+            tests += sub
+            if found:
+                return tests, True
+    return tests, False
+
+
+class TestDeleteBoundedWork:
+    """Deletes on capsule boxes: tight shapes, counter-exact containment
+    descent, and mean ``node_tests`` within ``2 * height * max_entries``."""
+
+    @staticmethod
+    def _capsules(pad: float = 0.0) -> list:
+        dataset = generate_neurons(neurons=12, segments_per_neuron=50, seed=11)
+        return [(eid, box.expanded(pad) if pad else box) for eid, box in dataset.items]
+
+    @pytest.mark.parametrize("tree_cls", [RTree, RStarTree])
+    @pytest.mark.parametrize("pad", [0.0, 0.5])
+    def test_mixed_sequence_keeps_shape_and_bounded_work(self, tree_cls, pad):
+        items = self._capsules(pad)
+        rng = np.random.default_rng(17)
+        tree = tree_cls(max_entries=8)
+        live: dict[int, AABB] = {}
+        tests = budget = deletes = 0
+        for step, idx in enumerate(rng.permutation(len(items)).tolist()):
+            eid, box = items[idx]
+            tree.insert(eid, box)
+            live[eid] = box
+            if step % 3 != 2:
+                continue
+            victim = list(live)[int(rng.integers(len(live)))]
+            victim_box = live.pop(victim)
+            expected, found = _containment_tests(tree._root, victim, victim_box)
+            assert found
+            height = tree.height
+            before = tree.counters.node_tests
+            tree.delete(victim, victim_box)
+            charged = tree.counters.node_tests - before
+            assert charged == expected
+            tests += charged
+            budget += 2 * height * tree.max_entries
+            deletes += 1
+            if deletes % 25 == 0:
+                _assert_tight(tree._root)
+        _assert_tight(tree._root)
+        tree.check_invariants()
+        assert deletes > 0 and tests <= budget
+        assert sorted(tree.range_query(tree.root_mbr())) == sorted(live)
+
+    def test_tpr_swept_boxes_bounded_work(self):
+        """The re-anchor deletes of the plasticity workload: swept boxes
+        overlap heavily, so an intersection descent would wander."""
+        dataset = generate_neurons(neurons=20, segments_per_neuron=60, seed=5)
+        items = dict(dataset.items)
+        tpr = TPRIndex(max_speed=0.1, horizon=10)
+        tpr.bulk_load(list(items.items()))
+        motion = PlasticityMotion(dataset.universe, moving_fraction=0.1, seed=6)
+        tree = tpr._tree
+        tests = budget = deletes = 0
+        for _ in range(14):
+            moves = motion.step(items)
+            for eid, _, new in moves:
+                items[eid] = new
+            height = tree.height
+            before = tree.counters.snapshot()
+            tpr.advance(moves)
+            delta = tree.counters.diff(before)
+            tests += delta.node_tests
+            budget += delta.deletes * 2 * height * tree.max_entries
+            deletes += delta.deletes
+        tree.check_invariants()
+        assert deletes > 100
+        assert tests <= budget
+        assert sorted(tpr.range_query(dataset.universe)) == sorted(items)
+
+    @pytest.mark.parametrize("tree_cls", [RTree, RStarTree])
+    def test_delete_missing_raises_and_leaves_tree(self, tree_cls):
+        items = self._capsules()
+        tree = tree_cls(max_entries=8)
+        for eid, box in items:
+            tree.insert(eid, box)
+        before = tree.export_tree()
+        eid, box = items[len(items) // 2]
+        missing_id = max(e for e, _ in items) + 1
+        outside = AABB([c + 1e3 for c in box.lo], [c + 1e3 for c in box.hi])
+        for bad_eid, bad_box in ((missing_id, box), (eid, box.expanded(1e-9)), (eid, outside)):
+            with pytest.raises(KeyError):
+                tree.delete(bad_eid, bad_box)
+        after = tree.export_tree()
+        assert len(tree) == len(items)
+        for key in before:
+            assert np.array_equal(before[key], after[key])
 
 
 class TestSplits:
